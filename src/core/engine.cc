@@ -735,32 +735,30 @@ Engine::fork(ExecutionState &state, ExprRef condition)
         residentInc();
     }
     Stats::bump(*hot_.forks);
-    // Publish the child's footprint right away: a forked state
-    // consumes memory while it waits in the queue, and short-lived
-    // paths may retire within their first slice — without this the
-    // parallel governor would only ever see states that survived a
-    // requeue and the resident cap could never trip.
-    accountStateMemory(*child_ptr);
 
     // Signal dispatch stays on the forking worker: plugins see the
     // fork before either side of it runs again.
     ForkInfo info{&state, child_ptr, condition};
     events_.onExecutionFork.emit(info);
 
-    // In parallel mode the child must NOT become runnable yet: the
-    // caller still diverges it after fork() returns (handleBranch adds
-    // the negated constraint and the fallthrough pc; plugins inject
-    // failure values). Publishing now would let another worker steal a
+    // The child is not finished yet: the caller still diverges it
+    // after fork() returns (handleBranch adds the negated constraint
+    // and the fallthrough pc; plugins inject failure values), so its
+    // footprint is accounted only once it is published — after the
+    // slice in the serial loop, in flushPendingChildren in a pool. In
+    // a pool, publishing now would also let another worker steal a
     // half-built state. Park it on the forking *state's* pending list
     // (fork parents are always the currently-executing state, so only
     // the owning worker touches it); the engine flushes at the next
     // block boundary, after the caller's mutations are complete —
     // never while the parent is suspended mid-block at a solver site.
     if (queue_) {
-        if (tlsWorker_)
+        if (tlsWorker_) {
             state.pendingChildren.push_back(child_ptr);
-        else
+        } else {
+            accountStateMemory(*child_ptr);
             queue_->add(0, child_ptr);
+        }
     }
     return child_ptr;
 }
@@ -1807,21 +1805,11 @@ Engine::retireState(ExecutionState &state)
 }
 
 void
-Engine::accountMemory()
-{
-    uint64_t total = 0;
-    for (ExecutionState *s : active_)
-        total += s->memoryFootprint();
-    Stats::raiseTo(*hot_.memoryHighWatermark, total);
-    Stats::raiseTo(*hot_.maxActiveStates, active_.size());
-}
-
-void
 Engine::accountStateMemory(ExecutionState &state)
 {
-    // Incremental version of accountMemory() for parallel mode: each
-    // worker maintains the pool-wide footprint by publishing the delta
-    // of the one state it owns.
+    // The footprint ledger of both run loops: whoever owns a state
+    // publishes the delta of that one state, so the engine-wide total
+    // never needs a walk over the live set.
     uint64_t now_bytes = state.isActive() ? state.memoryFootprint() : 0;
     uint64_t prev = state.accountedBytes;
     state.accountedBytes = now_bytes;
@@ -1866,6 +1854,7 @@ Engine::releaseStateResources(ExecutionState &state)
     // A spilled state already left the resident count at spill time.
     if (!state.spilled)
         residentDec();
+    accountStateMemory(state); // terminated: its share drops to 0
 }
 
 bool
@@ -1932,14 +1921,19 @@ Engine::restoreState(ExecutionState &state)
 void
 Engine::governResident()
 {
-    if (!config_.maxResidentBytes)
+    // The ledger also holds spilled and parked states, so it bounds
+    // the resident total from above: under the cap there is nothing
+    // to spill and no need to look at any state.
+    if (!config_.maxResidentBytes ||
+        currentMemBytes_.load(std::memory_order_relaxed) <=
+            config_.maxResidentBytes)
         return;
     uint64_t total = 0;
     std::vector<ExecutionState *> candidates;
     for (ExecutionState *s : active_) {
         if (s->spilled)
             continue;
-        total += s->memoryFootprint();
+        total += s->accountedBytes;
         if (!s->spillPinned)
             candidates.push_back(s);
     }
@@ -1957,9 +1951,11 @@ Engine::governResident()
     for (ExecutionState *s : candidates) {
         if (total <= config_.maxResidentBytes)
             break;
-        uint64_t before = s->memoryFootprint();
-        if (spillState(*s))
-            total = total - before + s->memoryFootprint();
+        uint64_t before = s->accountedBytes;
+        if (spillState(*s)) {
+            accountStateMemory(*s);
+            total = total - before + s->accountedBytes;
+        }
     }
 }
 
@@ -2003,7 +1999,6 @@ Engine::drainMergePool()
                 // release remain.
                 events_.onStateKill.emit(*s);
                 releaseStateResources(*s);
-                accountStateMemory(*s);
                 continue;
             }
             bool absorbed = false;
@@ -2020,7 +2015,6 @@ Engine::drainMergePool()
                                     survivors[i]->pathId().c_str(), pc));
                 events_.onStateKill.emit(*s);
                 releaseStateResources(*s);
-                accountStateMemory(*s);
                 absorbedInto.push_back(survivors[i]);
                 absorbed = true;
                 break;
@@ -2036,8 +2030,10 @@ Engine::drainMergePool()
         absorbedInto.erase(
             std::unique(absorbedInto.begin(), absorbedInto.end()),
             absorbedInto.end());
-        for (ExecutionState *surv : absorbedInto)
+        for (ExecutionState *surv : absorbedInto) {
             lifecycle::takeCheckpoint(*surv);
+            accountStateMemory(*surv);
+        }
         for (ExecutionState *surv : survivors) {
             surv->atMergePoint = false;
             std::lock_guard<std::mutex> lock(statesMutex_);
@@ -2063,7 +2059,6 @@ Engine::killParkedStates()
             killState(*s, StateStatus::BudgetExceeded, "run budget");
             events_.onStateKill.emit(*s);
             releaseStateResources(*s);
-            accountStateMemory(*s);
         }
     }
 }
@@ -2218,12 +2213,16 @@ Engine::flushPendingChildren(ExecutionState &state)
     // forked the children.
     unsigned wid = tlsWorker_ ? tlsWorker_->id : 0;
     for (ExecutionState *child : state.pendingChildren) {
-        // Over-cap spill at publish time: the child is fully diverged
-        // but not yet visible to other workers, so this is the one
-        // race-free window to drop its payload. Fork storms whose
-        // paths retire within a single slice never reach the requeue
-        // check — without this, queued children would be the
-        // unbounded part of the pool.
+        // The child is fully diverged now, so its footprint is final
+        // until it first runs. Account it before it becomes visible:
+        // short-lived paths may retire within their first slice, and
+        // the governor must see the states waiting in the queue.
+        accountStateMemory(*child);
+        // Over-cap spill at publish time: the child is not yet visible
+        // to other workers, so this is the one race-free window to
+        // drop its payload. Fork storms whose paths retire within a
+        // single slice never reach the requeue check — without this,
+        // queued children would be the unbounded part of the pool.
         if (config_.maxResidentBytes && !child->spilled &&
             !child->spillPinned &&
             currentMemBytes_.load(std::memory_order_relaxed) >
@@ -2320,6 +2319,7 @@ Engine::runSerial()
                     solver_.bindPathContext(&state->solverCtx);
                     tl_executing = state;
                     uint64_t instr_before = state->instrCount;
+                    size_t first_child = states_.size();
                     for (unsigned i = 0; i < config_.timesliceBlocks &&
                                          state->isActive();
                          ++i) {
@@ -2332,12 +2332,19 @@ Engine::runSerial()
                     solver_.bindPathContext(nullptr);
                     Stats::bump(*hot_.instructions,
                                 state->instrCount - instr_before);
+                    // Only the state that ran and the children it
+                    // forked (now fully diverged) can have changed
+                    // footprint.
+                    accountStateMemory(*state);
+                    for (size_t c = first_child; c < states_.size(); ++c)
+                        accountStateMemory(*states_[c]);
                     if (state->isActive() && state->atMergePoint)
                         parkForMerge(*state);
                 }
             }
 
-            // Sweep terminated states.
+            // Sweep terminated states (releasing one zeroes its share
+            // of the footprint ledger).
             size_t w = 0;
             for (size_t r = 0; r < active_.size(); ++r) {
                 if (active_[r]->isActive()) {
@@ -2347,7 +2354,7 @@ Engine::runSerial()
                 }
             }
             active_.resize(w);
-            accountMemory();
+            Stats::raiseTo(*hot_.maxActiveStates, active_.size());
             governResident();
         }
         if (result.budgetExhausted) {
@@ -2625,6 +2632,14 @@ Engine::finalizeResult(RunResult &result,
                        std::chrono::steady_clock::time_point start,
                        uint64_t start_instr)
 {
+    // Every live state owns exactly its accounted share of the ledger,
+    // so once none is left (no active state, none parked at a merge
+    // point) the shares must all have been handed back.
+    if (active_.empty() && mergePool_.empty())
+        S2E_ASSERT(currentMemBytes_.load(std::memory_order_relaxed) == 0,
+                   "footprint ledger leaked %llu bytes",
+                   static_cast<unsigned long long>(
+                       currentMemBytes_.load(std::memory_order_relaxed)));
     result.wallSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();

@@ -424,8 +424,10 @@ class Engine
     void finalizeResult(RunResult &result,
                         std::chrono::steady_clock::time_point start,
                         uint64_t start_instr);
-    /** Parallel-mode incremental footprint accounting (the owner
-     *  worker updates its state's share of the global watermark). */
+    /** Footprint ledger of both run loops: the state's owner
+     *  publishes the change of its share of currentMemBytes_ (a
+     *  terminated state's share drops to 0) and raises the memory
+     *  high-watermark. */
     void accountStateMemory(ExecutionState &state);
     /** Remove a finished state from active_ and emit its kill event. */
     void retireState(ExecutionState &state);
@@ -521,7 +523,6 @@ class Engine
                   uint32_t next_pc, uint32_t *next_pc_out);
 
     void finishState(ExecutionState &state);
-    void accountMemory();
 
     // --- Record/replay witnesses --------------------------------------
 
@@ -564,7 +565,9 @@ class Engine
      *  state is killed with StateStatus::SpillFailure; returns false. */
     bool restoreState(ExecutionState &state);
 
-    /** Serial-mode governor: spill coldest states until under cap. */
+    /** Serial-mode governor: spill coldest states until the resident
+     *  states' accounted footprints fit the cap (O(1) while the whole
+     *  ledger is under it). */
     void governResident();
 
     /** Park a state that hit an s2e_merge point (drops it from the
@@ -666,7 +669,9 @@ class Engine
     WorkQueue *queue_ = nullptr; ///< non-null only inside runParallel
     std::atomic<bool> stopFlag_{false};
     std::atomic<bool> budgetExhaustedFlag_{false};
-    /** Sum of active states' accounted footprints (parallel runs). */
+    /** Sum of live (active, parked or spilled) states' accounted
+     *  footprints: the ledger behind the memory high-watermark and the
+     *  governors of both run loops. */
     std::atomic<uint64_t> currentMemBytes_{0};
 
     // Fiber-scheduler machinery (null/zero unless useFibers).

@@ -137,7 +137,7 @@ class PhaseProfiler
      * (span counts and exclusive nanos add). After merging N workers
      * the summed phase seconds represent CPU time across the pool and
      * may legitimately exceed one wall-clock; consumers normalize by
-     * wall * workers (see RunReport).
+     * the workers' summed busy seconds (see RunReport).
      */
     void
     mergeFrom(const PhaseProfiler &other)

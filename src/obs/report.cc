@@ -14,6 +14,15 @@ RunReport::captureEngine(core::Engine &engine, const core::RunResult &run)
     run_ = run;
     wallSeconds_ = run.wallSeconds;
 
+    // A pool's phase seconds are summed over its workers, so they are
+    // shares of the workers' busy seconds; a serial run is busy for
+    // its whole wall time.
+    double worker_seconds = wallSeconds_;
+    if (!run.workerBusySeconds.empty()) {
+        worker_seconds = 0;
+        for (double busy : run.workerBusySeconds)
+            worker_seconds += busy;
+    }
     phases_.clear();
     const PhaseProfiler &prof = engine.profiler();
     for (size_t i = 0; i < kNumPhases; ++i) {
@@ -22,7 +31,8 @@ RunReport::captureEngine(core::Engine &engine, const core::RunResult &run)
         row.name = phaseName(p);
         row.spans = prof.stat(p).spans;
         row.seconds = prof.seconds(p);
-        row.fraction = wallSeconds_ > 0 ? row.seconds / wallSeconds_ : 0;
+        row.fraction =
+            worker_seconds > 0 ? row.seconds / worker_seconds : 0;
         phases_.push_back(row);
     }
 

@@ -29,7 +29,7 @@ class RunReport
         std::string name;
         uint64_t spans = 0;
         double seconds = 0;
-        double fraction = 0; ///< of the run's wall time
+        double fraction = 0; ///< of the run's busy worker-seconds
     };
 
     /** Terminal summary of one execution state. */
@@ -72,7 +72,8 @@ class RunReport
     double wallSeconds() const { return wallSeconds_; }
 
     /** Sum of all phase fractions (≤ 1.0 by construction: phases are
-     *  charged exclusively, see profiler.hh). */
+     *  charged exclusively, see profiler.hh, and only inside a worker's
+     *  busy time). */
     double phaseFractionSum() const;
 
     std::string toJson() const;

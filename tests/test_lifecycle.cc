@@ -743,6 +743,21 @@ TEST(LifecycleSoak, FourThousandPathStormStaysUnderResidentCap)
     EXPECT_GT(r.residentStatesPeak, 0u);
 }
 
+TEST(LifecycleSoak, SerialWatermarkCountsLiveStatesNotEveryFork)
+{
+    // The uncapped serial loop explores the storm depth-first, so only
+    // the states still waiting on the current path's pending branches
+    // are alive at once. The footprint ledger must hand back each
+    // terminated path's share: its peak stays a small multiple of one
+    // state, however many of the 4096 paths were forked over the run.
+    vm::MachineConfig machine = machineFor(stormSource(12));
+    Engine engine(machine, EngineConfig{});
+    RunResult r = engine.run();
+    EXPECT_EQ(r.completed, 4096u);
+    EXPECT_LT(engine.stats().get("engine.memory_high_watermark"),
+              100 * baseFootprint(machine));
+}
+
 // --- Terminal resource release ------------------------------------------
 
 TEST(LifecycleRobustness, SpillImagesReleasedOnceAndDirRemoved)

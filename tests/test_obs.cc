@@ -348,6 +348,25 @@ TEST(RunReport, CapturesEngineAndFractionsSumBelowOne)
     }
     EXPECT_EQ(depth, 0);
     EXPECT_FALSE(in_string);
+
+    // A pool's phase seconds are summed over its workers, so they are
+    // shares of busy worker-seconds (shares of wall time would exceed
+    // 1.0 once workers overlap).
+    config.numWorkers = 4;
+    core::Engine pool(machineFor(kThreeBranches), config);
+    core::RunResult pool_run = pool.run();
+    RunReport pool_report("test_pool_run");
+    pool_report.captureEngine(pool, pool_run);
+    EXPECT_EQ(pool_report.states().size(), 8u);
+    EXPECT_GT(pool_report.phaseFractionSum(), 0.0);
+    EXPECT_LE(pool_report.phaseFractionSum(), 1.0);
+    ASSERT_EQ(pool_run.workerBusySeconds.size(), 4u);
+    double busy = 0;
+    for (double b : pool_run.workerBusySeconds)
+        busy += b;
+    ASSERT_GT(busy, 0.0);
+    for (const auto &row : pool_report.phases())
+        EXPECT_NEAR(row.fraction, row.seconds / busy, 1e-9) << row.name;
 }
 
 TEST(RunReport, WriteFileRoundTrip)
